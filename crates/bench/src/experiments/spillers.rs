@@ -2,7 +2,7 @@
 //!
 //! PR 7 grew the first phase of the two-phase allocator into a *strategy
 //! zoo* ([`SpillerKind`]): the naive spill-everywhere baseline, the
-//! sublinear pressure-greedy spiller, and the Braun–Hack-style Belady MIN
+//! incremental pressure-greedy spiller, and the Braun–Hack-style Belady MIN
 //! spiller with next-use distances and block-boundary live-range
 //! splitting.  This experiment races the three over
 //!

@@ -17,10 +17,10 @@
 //! across a hot loop is spilled long before one that is rewritten inside
 //! it.
 //!
-//! The pass is **incremental end to end and sublinear per victim**: after
-//! the up-front setup, accepting a victim costs time proportional to the
-//! victim's own footprint (the blocks it contributes live points to plus
-//! the blocks its rewrite touches), not to the whole function:
+//! The pass is **incremental**: after the up-front setup, accepting a
+//! victim costs one walk over the function's block boundaries and
+//! instructions (the rewrite itself) plus a statistics rebuild of the
+//! blocks the victim touches, never a fresh analysis:
 //!
 //! * liveness is solved once and then patched in place after each rewrite
 //!   ([`Liveness::apply_spill_rewrite`]) — a spilled variable is live at no
@@ -28,31 +28,29 @@
 //!   a boundary are the φ-argument ones;
 //! * the per-block candidate statistics (precise per-block `Maxlive`,
 //!   per-variable live-point counts, over-pressure membership) are cached
-//!   in [`BlockSpillStats`] and recomputed only for the blocks a rewrite
-//!   actually touched or the victim contributed live points to — the
-//!   latter set comes from an inverted index (variable → contributing
-//!   blocks) maintained alongside the statistics, so no global liveness
-//!   scan is needed to find it;
+//!   in [`BlockSpillStats`] and recomputed only for the blocks the victim
+//!   can appear in: those it is live-out of (read before the liveness
+//!   patch), its definition block, and the blocks the rewrite modified.  A
+//!   variable live at any point of a block is live-out there, used there
+//!   (so the rewrite modifies the block) or defined there, so this set
+//!   covers every block whose statistics can change;
 //! * the global `Maxlive` is maintained as a bucket count over the cached
 //!   per-block pressures (`pressure_count[m]` = number of blocks whose
 //!   precise `Maxlive` is `m`): a retract/fold of one block moves one unit
 //!   between buckets, and the loop head re-finds the maximum by scanning
 //!   the top bucket pointer downwards — monotone over the whole pass, so
 //!   O(1) amortized instead of an O(blocks) rescan per iteration;
-//! * the affected-block set itself is collected through an epoch-stamped
-//!   scratch array, so no per-victim `vec![false; num_blocks]` allocation
-//!   remains;
+//! * every per-variable aggregate (live-point counts, candidate reference
+//!   counts, the not-spillable marks) is a dense array indexed by
+//!   variable, so the victim choice is one ascending scan;
 //! * spill costs never change for a variable that was not itself rewritten,
-//!   so they are computed once up front.
+//!   so they are computed once, when the first victim is needed; a call
+//!   that finds `Maxlive ≤ k` costs liveness plus the block statistics.
 //!
-//! On the E15 `fp-loopnest` instance (2110 blocks, 647 victims) the whole
-//! spilling phase runs in ≈ 0.25 s release — ≈ 0.4 ms per victim, against
-//! the ≈ 2.1 ms/victim (≈ 3.1 s for ≈ 1480 victims on the larger
-//! pre-flat-IR instance) recorded when the incremental pass landed.  The
-//! remaining per-victim cost is proportional to the victim's footprint
-//! (the statistics of every block it contributes live points to are
-//! rebuilt), which dominates the two global scans this revision removed;
-//! see the README for the measured numbers.
+//! Per victim the cost is therefore O(blocks + instructions), dominated by
+//! [`spill_everywhere`] and [`Liveness::apply_spill_rewrite`].  The
+//! benchmark's traced `module_ssa` runs record the spill phase's share of
+//! the allocator as `ir.spill_ms` (README, "Incremental spilling").
 //!
 //! The module also hosts the [`SpillerKind`] strategy zoo: the loop-aware
 //! incremental spiller above, the naive spill-everywhere baseline
@@ -60,8 +58,7 @@
 //! [`crate::belady`].
 
 use crate::function::{BlockId, Function, Instr, InstrView, Terminator, Var};
-use crate::liveness::Liveness;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::liveness::{Liveness, VarSet};
 
 /// Largest loop depth that still gets its own `10^depth` weight.
 ///
@@ -127,23 +124,26 @@ struct BlockSpillStats {
     maxlive: usize,
 }
 
-/// Computes the [`BlockSpillStats`] of one block against the current
-/// liveness solution.  `birth` is a scratch array of at least `num_vars`
-/// entries (contents irrelevant between calls).
+/// Recomputes `stats`, the [`BlockSpillStats`] of one block, in place
+/// against the current liveness solution (reusing its buffers).  `birth`
+/// and `live` are scratch (contents irrelevant between calls).
 fn block_spill_stats(
     f: &Function,
     liveness: &Liveness,
     b: BlockId,
     k: usize,
     birth: &mut Vec<u32>,
-) -> BlockSpillStats {
+    live: &mut VarSet,
+    stats: &mut BlockSpillStats,
+) {
     let n = f.num_instrs(b);
     if birth.len() < f.num_vars() {
         birth.resize(f.num_vars(), 0);
     }
-    let mut stats = BlockSpillStats::default();
+    stats.contributions.clear();
+    stats.candidates.clear();
     // The walk starts at point n: live-out plus the terminator's uses.
-    let mut live = liveness.live_out(b).clone();
+    live.copy_from(liveness.live_out(b));
     for u in f.terminator(b).uses() {
         live.insert(u);
     }
@@ -198,7 +198,6 @@ fn block_spill_stats(
     if phi_defs > 0 {
         stats.maxlive = stats.maxlive.max(liveness.live_in(b).len() + phi_defs);
     }
-    stats
 }
 
 /// Spills variables of `f` until `Maxlive ≤ k` (or no candidate remains),
@@ -210,78 +209,67 @@ fn block_spill_stats(
 pub fn spill_to_pressure(f: &mut Function, k: usize) -> SpillResult {
     let _span = coalesce_stats::span!("ir/spill/pressure");
     let mut result = SpillResult::default();
-    let mut not_spillable: BTreeSet<Var> = BTreeSet::new();
     // One full fixpoint up front; every later iteration patches it in
     // place via `apply_spill_rewrite` (the patch is exact, see its docs).
     let mut liveness = Liveness::compute(f);
-    // Spill costs only change for rewritten variables, and those are never
-    // reconsidered (`not_spillable`), so one up-front computation serves
-    // every iteration.
-    let spill_cost = spill_costs(f);
-    // Block of each variable's definition (first definition for non-SSA
-    // inputs): the one block whose statistics a rewrite can change even
-    // when the victim is live at none of its boundaries.
-    let mut def_block: Vec<Option<BlockId>> = vec![None; f.num_vars()];
-    for (b, _, instr) in f.instructions() {
-        if let Some(d) = instr.def() {
-            def_block[d.index()].get_or_insert(b);
-        }
-    }
+    // Spill costs and definition blocks, computed when the first victim is
+    // needed.  Costs only change for rewritten variables, and those are
+    // never reconsidered (`not_spillable`), so one computation serves every
+    // iteration.  The definition block (first definition for non-SSA
+    // inputs) joins every rebuild set: in strict SSA a victim is live-out
+    // of it or used in it anyway, and on lowered code, where that first
+    // definition may be dead, it is one extra block that the
+    // `spill.blocks_rebuilt` counter counts.
+    let mut setup: Option<(Vec<u64>, Vec<Option<BlockId>>)> = None;
     // Per-block candidate statistics plus the global aggregates derived
-    // from them: per-variable point counts, and the candidate set with a
-    // per-variable reference count (how many blocks currently list it).
-    //
-    // Two extra indices make accepting a victim sublinear:
-    //
-    // * `pressure_count[m]` counts the blocks whose cached precise Maxlive
-    //   is `m`, and `cur_max` points at the top non-empty bucket (it only
-    //   ever needs correcting downwards at the loop head, so the whole
-    //   pass scans each bucket level at most once);
-    // * `blocks_of[v]` is the inverted contribution index: the blocks
-    //   whose statistics currently mention `v`, with a reference count per
-    //   block (a non-SSA input can close several segments of one variable
-    //   in one block).  For a victim it is exactly the set of blocks whose
-    //   statistics its removal can change, which replaces the old
-    //   O(blocks) boundary-liveness scan.
+    // from them: per-variable point counts, and per-variable candidate
+    // reference counts (how many blocks currently list it).
+    // `pressure_count[m]` counts the blocks whose cached precise Maxlive is
+    // `m`, and `cur_max` points at the top non-empty bucket (it only ever
+    // needs correcting downwards at the loop head, so the whole pass scans
+    // each bucket level at most once).  Every block starts as an empty
+    // entry in bucket 0 and is built by the first refresh below.
     let mut birth: Vec<u32> = Vec::new();
+    let mut live = VarSet::default();
     let mut occurrences: Vec<u64> = vec![0; f.num_vars()];
     let mut candidate_refs: Vec<u32> = vec![0; f.num_vars()];
-    let mut candidates: BTreeSet<Var> = BTreeSet::new();
-    let mut blocks_of: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); f.num_vars()];
-    let mut pressure_count: Vec<u32> = Vec::new();
+    let mut not_spillable: Vec<bool> = vec![false; f.num_vars()];
+    let mut pressure_count: Vec<u32> = vec![f.num_blocks() as u32];
     let mut cur_max: usize = 0;
-    let mut stats: Vec<BlockSpillStats> = Vec::with_capacity(f.num_blocks());
-    for b in f.block_ids() {
-        let s = block_spill_stats(f, &liveness, b, k, &mut birth);
-        for &(v, c) in &s.contributions {
-            occurrences[v.index()] += c;
-            *blocks_of[v.index()].entry(b.index() as u32).or_insert(0) += 1;
-        }
-        for &v in &s.candidates {
-            candidate_refs[v.index()] += 1;
-            if candidate_refs[v.index()] == 1 {
-                candidates.insert(v);
-            }
-        }
-        if s.maxlive >= pressure_count.len() {
-            pressure_count.resize(s.maxlive + 1, 0);
-        }
-        pressure_count[s.maxlive] += 1;
-        cur_max = cur_max.max(s.maxlive);
-        stats.push(s);
-    }
-    // Epoch-stamped scratch replacing the per-victim `vec![false; blocks]`
-    // allocation: a block is in the current victim's affected set iff its
-    // stamp equals the current epoch.
-    let mut affected_stamp: Vec<u32> = vec![0; f.num_blocks()];
-    let mut affected_epoch: u32 = 0;
-    let mut affected: Vec<usize> = Vec::new();
+    let mut stats: Vec<BlockSpillStats> = vec![BlockSpillStats::default(); f.num_blocks()];
+    // Blocks whose statistics are stale: all of them before the first
+    // iteration, then the current victim's rebuild set.
+    let mut affected: Vec<usize> = (0..f.num_blocks()).collect();
     // Pass totals, reported once on exit: accepted victims and how many
     // block statistics their rewrites forced us to rebuild.
     let mut victims: u64 = 0;
     let mut blocks_rebuilt: u64 = 0;
 
     loop {
+        // Retract the affected blocks' old statistics and fold in the
+        // recomputed ones; everything else is untouched by construction.
+        for &bi in &affected {
+            let s = &mut stats[bi];
+            for &(v, c) in &s.contributions {
+                occurrences[v.index()] -= c;
+            }
+            for &v in &s.candidates {
+                candidate_refs[v.index()] -= 1;
+            }
+            pressure_count[s.maxlive] -= 1;
+            block_spill_stats(f, &liveness, BlockId::new(bi), k, &mut birth, &mut live, s);
+            for &(v, c) in &s.contributions {
+                occurrences[v.index()] += c;
+            }
+            for &v in &s.candidates {
+                candidate_refs[v.index()] += 1;
+            }
+            if s.maxlive >= pressure_count.len() {
+                pressure_count.resize(s.maxlive + 1, 0);
+            }
+            pressure_count[s.maxlive] += 1;
+            cur_max = cur_max.max(s.maxlive);
+        }
         // Re-find the global Maxlive: per-block pressures retracted since
         // the last iteration can only have emptied buckets at or below
         // `cur_max`, so walking the pointer down is exact.
@@ -291,111 +279,62 @@ pub fn spill_to_pressure(f: &mut Function, k: usize) -> SpillResult {
         if cur_max <= k {
             break;
         }
+        let (spill_cost, def_block) = setup.get_or_insert_with(|| {
+            let mut def_block = vec![None; f.num_vars()];
+            for (b, _, instr) in f.instructions() {
+                if let Some(d) = instr.def() {
+                    def_block[d.index()].get_or_insert(b);
+                }
+            }
+            (spill_costs(f), def_block)
+        });
         // Pick the candidate minimizing cost/benefit (compared by cross
         // multiplication to stay in integers); ties fall to the higher
         // benefit, then to the lower variable index, so the choice is
-        // deterministic.
-        let candidate = candidates
-            .iter()
-            .copied()
-            .filter(|v| !not_spillable.contains(v))
-            .min_by(|&a, &b| {
-                let (ca, cb) = (spill_cost[a.index()], spill_cost[b.index()]);
-                let (oa, ob) = (occurrences[a.index()], occurrences[b.index()]);
-                (u128::from(ca) * u128::from(ob))
-                    .cmp(&(u128::from(cb) * u128::from(oa)))
-                    .then(ob.cmp(&oa))
-                    .then(a.cmp(&b))
-            });
-        let Some(victim) = candidate else { break };
-        if occurrences[victim.index()] <= 2 {
-            // Already as short-lived as a reload temp; spilling it cannot
-            // reduce pressure.  Mark and retry with another candidate.
-            not_spillable.insert(victim);
-            continue;
-        }
-        // Blocks whose statistics the rewrite can change: the ones the
-        // victim contributes live points to (the inverted index — a
-        // superset of the blocks it is boundary-live through), its
-        // definition block, and every block the rewrite touches (collected
-        // below).  Recomputation is idempotent, so a superset of the truly
-        // changed blocks is safe and yields identical statistics.
-        affected_epoch += 1;
+        // deterministic.  A pick already as short-lived as a reload temp
+        // cannot reduce pressure: mark it and pick again.
+        let victim = loop {
+            let candidate = (0..candidate_refs.len())
+                .filter(|&i| candidate_refs[i] > 0 && !not_spillable[i])
+                .map(Var::new)
+                .min_by(|&a, &b| {
+                    let (ca, cb) = (spill_cost[a.index()], spill_cost[b.index()]);
+                    let (oa, ob) = (occurrences[a.index()], occurrences[b.index()]);
+                    (u128::from(ca) * u128::from(ob))
+                        .cmp(&(u128::from(cb) * u128::from(oa)))
+                        .then(ob.cmp(&oa))
+                        .then(a.cmp(&b))
+                });
+            match candidate {
+                Some(v) if occurrences[v.index()] <= 2 => not_spillable[v.index()] = true,
+                other => break other,
+            }
+        };
+        let Some(victim) = victim else { break };
+        // The rebuild set (see the module docs).  Recomputation is
+        // idempotent, so a superset of the truly changed blocks is safe
+        // and yields identical statistics.
         affected.clear();
-        for &bi in blocks_of[victim.index()].keys() {
-            let bi = bi as usize;
-            if affected_stamp[bi] != affected_epoch {
-                affected_stamp[bi] = affected_epoch;
-                affected.push(bi);
-            }
-        }
-        if let Some(b) = def_block[victim.index()] {
-            if affected_stamp[b.index()] != affected_epoch {
-                affected_stamp[b.index()] = affected_epoch;
-                affected.push(b.index());
-            }
-        }
-        let vars_before = f.num_vars();
+        affected.extend(
+            f.block_ids()
+                .filter(|&b| liveness.live_out(b).contains(victim))
+                .map(BlockId::index),
+        );
+        affected.extend(def_block[victim.index()].map(BlockId::index));
         let rewrite = spill_everywhere(f, victim, &mut result);
         liveness.apply_spill_rewrite(victim, &rewrite.phi_pred_reloads);
-        for &b in &rewrite.modified_blocks {
-            if affected_stamp[b.index()] != affected_epoch {
-                affected_stamp[b.index()] = affected_epoch;
-                affected.push(b.index());
-            }
-        }
+        affected.extend(rewrite.modified_blocks.iter().map(|b| b.index()));
+        affected.sort_unstable();
+        affected.dedup();
         occurrences.resize(f.num_vars(), 0);
         candidate_refs.resize(f.num_vars(), 0);
-        blocks_of.resize(f.num_vars(), BTreeMap::new());
-        // Retract the affected blocks' old statistics and fold in the
-        // recomputed ones; everything else is untouched by construction.
-        // The retract/fold pairs commute across blocks, but sort anyway so
-        // the recomputation order is deterministic.
-        affected.sort_unstable();
-        for &bi in &affected {
-            let b = BlockId::new(bi);
-            let old = std::mem::take(&mut stats[bi]);
-            for (v, c) in old.contributions {
-                occurrences[v.index()] -= c;
-                let refs = blocks_of[v.index()]
-                    .get_mut(&(bi as u32))
-                    .expect("inverted index out of sync with block statistics");
-                *refs -= 1;
-                if *refs == 0 {
-                    blocks_of[v.index()].remove(&(bi as u32));
-                }
-            }
-            for v in old.candidates {
-                candidate_refs[v.index()] -= 1;
-                if candidate_refs[v.index()] == 0 {
-                    candidates.remove(&v);
-                }
-            }
-            pressure_count[old.maxlive] -= 1;
-            let s = block_spill_stats(f, &liveness, b, k, &mut birth);
-            for &(v, c) in &s.contributions {
-                occurrences[v.index()] += c;
-                *blocks_of[v.index()].entry(bi as u32).or_insert(0) += 1;
-            }
-            for &v in &s.candidates {
-                candidate_refs[v.index()] += 1;
-                if candidate_refs[v.index()] == 1 {
-                    candidates.insert(v);
-                }
-            }
-            if s.maxlive >= pressure_count.len() {
-                pressure_count.resize(s.maxlive + 1, 0);
-            }
-            pressure_count[s.maxlive] += 1;
-            cur_max = cur_max.max(s.maxlive);
-            stats[bi] = s;
-        }
-        // Never re-spill a reload temporary (or the victim itself): reload
-        // temps of early spills can grow long again as later reloads are
-        // inserted between them and their use, and re-spilling them would
-        // loop forever without lowering the pressure.
-        not_spillable.insert(victim);
-        not_spillable.extend((vars_before..f.num_vars()).map(Var::new));
+        // Never re-spill a reload temporary (the new variables are exactly
+        // the rewrite's reloads) or the victim itself: reload temps of
+        // early spills can grow long again as later reloads are inserted
+        // between them and their use, and re-spilling them would loop
+        // forever without lowering the pressure.
+        not_spillable.resize(f.num_vars(), true);
+        not_spillable[victim.index()] = true;
         result.spilled.push(victim);
         victims += 1;
         blocks_rebuilt += affected.len() as u64;
@@ -504,19 +443,23 @@ impl SpillerKind {
 pub fn spill_all_candidates(f: &mut Function, k: usize) -> SpillResult {
     let _span = coalesce_stats::span!("ir/spill/everywhere");
     let mut result = SpillResult::default();
-    let mut not_spillable: BTreeSet<Var> = BTreeSet::new();
+    let mut not_spillable: Vec<bool> = vec![false; f.num_vars()];
     let mut birth: Vec<u32> = Vec::new();
+    let mut live = VarSet::default();
+    let mut s = BlockSpillStats::default();
     loop {
         let liveness = Liveness::compute(f);
         let mut occurrences = vec![0u64; f.num_vars()];
-        let mut candidates: BTreeSet<Var> = BTreeSet::new();
+        let mut is_candidate = vec![false; f.num_vars()];
         let mut maxlive = 0usize;
         for b in f.block_ids() {
-            let s = block_spill_stats(f, &liveness, b, k, &mut birth);
+            block_spill_stats(f, &liveness, b, k, &mut birth, &mut live, &mut s);
             for &(v, c) in &s.contributions {
                 occurrences[v.index()] += c;
             }
-            candidates.extend(s.candidates.iter().copied());
+            for &v in &s.candidates {
+                is_candidate[v.index()] = true;
+            }
             maxlive = maxlive.max(s.maxlive);
         }
         if maxlive <= k {
@@ -524,19 +467,18 @@ pub fn spill_all_candidates(f: &mut Function, k: usize) -> SpillResult {
         }
         // Same spillability rules as the incremental spiller: never touch
         // reload temporaries or anything as short-lived as one.
-        let victims: Vec<Var> = candidates
-            .into_iter()
-            .filter(|v| !not_spillable.contains(v) && occurrences[v.index()] > 2)
+        let victims: Vec<Var> = (0..f.num_vars())
+            .filter(|&i| is_candidate[i] && !not_spillable[i] && occurrences[i] > 2)
+            .map(Var::new)
             .collect();
         if victims.is_empty() {
             break;
         }
         coalesce_stats::counter!("spill.victims", victims.len() as u64);
         for victim in victims {
-            let vars_before = f.num_vars();
             spill_everywhere(f, victim, &mut result);
-            not_spillable.insert(victim);
-            not_spillable.extend((vars_before..f.num_vars()).map(Var::new));
+            not_spillable.resize(f.num_vars(), true);
+            not_spillable[victim.index()] = true;
             result.spilled.push(victim);
         }
     }

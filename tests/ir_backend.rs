@@ -24,6 +24,7 @@ use coalesce_ir::function::{BlockId, Function, Instr, Var};
 use coalesce_ir::interference::{BuildOptions, InterferenceGraph, InterferenceKind};
 use coalesce_ir::liveness::Liveness;
 use coalesce_ir::spill::{self, spill_everywhere, SpillResult, SpillerKind};
+use coalesce_ir::{out_of_ssa, ssa};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -556,8 +557,8 @@ fn workload_functions() -> Vec<Function> {
     out
 }
 
-fn module_functions(seed: u64) -> Vec<Function> {
-    module_specs(&ModuleParams { functions: 6 }, seed)
+fn module_functions(functions: usize, seed: u64) -> Vec<Function> {
+    module_specs(&ModuleParams { functions }, seed)
         .iter()
         .map(|s| s.generate())
         .collect()
@@ -574,7 +575,7 @@ proptest! {
     /// module-drawn functions of every profile/pressure/size mix.
     #[test]
     fn flat_liveness_matches_the_owned_layout_reference(seed in 0u64..48) {
-        for f in module_functions(seed) {
+        for f in module_functions(6, seed) {
             let owned = OwnedBlocks::of(&f);
             let flat = Liveness::compute(&f);
             let reference = RefLiveness::compute(&f, &owned);
@@ -587,7 +588,7 @@ proptest! {
     /// interference definitions.
     #[test]
     fn flat_interference_matches_the_owned_layout_reference(seed in 0u64..32) {
-        for f in module_functions(seed * 31 + 1) {
+        for f in module_functions(6, seed * 31 + 1) {
             let owned = OwnedBlocks::of(&f);
             let live = Liveness::compute(&f);
             let reference = RefLiveness::compute(&f, &owned);
@@ -608,7 +609,7 @@ proptest! {
     /// Flat-arena spill costs equal the owned-layout reference.
     #[test]
     fn flat_spill_costs_match_the_owned_layout_reference(seed in 0u64..48) {
-        for f in module_functions(seed * 17 + 3) {
+        for f in module_functions(6, seed * 17 + 3) {
             let owned = OwnedBlocks::of(&f);
             prop_assert_eq!(spill::spill_costs(&f), reference_spill_costs(&f, &owned));
         }
@@ -618,7 +619,7 @@ proptest! {
     /// per-variable Dijkstra reference on module-drawn functions.
     #[test]
     fn next_use_fixpoint_matches_the_dijkstra_reference(seed in 0u64..32) {
-        for f in module_functions(seed * 13 + 11) {
+        for f in module_functions(6, seed * 13 + 11) {
             let owned = OwnedBlocks::of(&f);
             let fixpoint = NextUse::compute(&f);
             let reference = reference_next_use(&f, &owned);
@@ -654,7 +655,7 @@ proptest! {
     /// count of each strategy must also be reproducible.
     #[test]
     fn every_spiller_meets_the_pressure_target_up_to_the_floor(seed in 0u64..24) {
-        for f in module_functions(seed * 29 + 5) {
+        for f in module_functions(6, seed * 29 + 5) {
             let maxlive = Liveness::compute(&f).maxlive_precise(&f);
             let k = (maxlive / 2).max(3);
             for spiller in SpillerKind::ALL {
@@ -682,6 +683,32 @@ proptest! {
     }
 }
 
+/// Runs the incremental spiller and the from-scratch reference on copies of
+/// `f` at `k` and asserts the same victims in the same order, the same
+/// number of reloads, valid rewrites and the same final Maxlive.  Returns
+/// the number of victims.
+fn assert_spiller_matches_reference(f: &Function, k: usize, what: &str) -> usize {
+    let mut flat_f = f.clone();
+    let flat = spill::spill_to_pressure(&mut flat_f, k);
+    let mut ref_f = f.clone();
+    let reference = reference_spill_to_pressure(&mut ref_f, k);
+    assert_eq!(
+        flat.spilled, reference.spilled,
+        "{what}: victim sequence diverged at k = {k}"
+    );
+    assert_eq!(flat.reloads, reference.reloads, "{what}: k = {k}");
+    assert!(
+        flat_f.validate().is_ok() && ref_f.validate().is_ok(),
+        "{what}"
+    );
+    assert_eq!(
+        Liveness::compute(&flat_f).maxlive_precise(&flat_f),
+        Liveness::compute(&ref_f).maxlive_precise(&ref_f),
+        "{what}: k = {k}"
+    );
+    flat.spilled.len()
+}
+
 /// The incremental spiller picks the same victims in the same order (and
 /// inserts the same number of reloads) as the from-scratch reference
 /// spiller over the owned layout, on every workload profile.
@@ -690,26 +717,8 @@ fn incremental_spiller_matches_the_from_scratch_reference_victim_sequence() {
     for (i, f) in workload_functions().into_iter().enumerate() {
         let maxlive = Liveness::compute(&f).maxlive_precise(&f);
         let k = (maxlive / 2).max(3);
-        let mut flat_f = f.clone();
-        let flat = spill::spill_to_pressure(&mut flat_f, k);
-        let mut ref_f = f.clone();
-        let reference = reference_spill_to_pressure(&mut ref_f, k);
-        assert_eq!(
-            flat.spilled, reference.spilled,
-            "workload {i}: victim sequence diverged at k = {k}"
-        );
-        assert_eq!(flat.reloads, reference.reloads, "workload {i}");
-        assert!(
-            !flat.spilled.is_empty(),
-            "workload {i}: no spill pressure at k = {k}"
-        );
-        // Both rewrites leave valid functions with the same final Maxlive.
-        assert!(flat_f.validate().is_ok() && ref_f.validate().is_ok());
-        assert_eq!(
-            Liveness::compute(&flat_f).maxlive_precise(&flat_f),
-            Liveness::compute(&ref_f).maxlive_precise(&ref_f),
-            "workload {i}"
-        );
+        let victims = assert_spiller_matches_reference(&f, k, &format!("workload {i}"));
+        assert!(victims > 0, "workload {i}: no spill pressure at k = {k}");
     }
 }
 
@@ -717,14 +726,36 @@ fn incremental_spiller_matches_the_from_scratch_reference_victim_sequence() {
 /// holds across the generator's profile/pressure/size mix.
 #[test]
 fn incremental_spiller_matches_the_reference_on_module_functions() {
-    for f in module_functions(5) {
+    for (i, f) in module_functions(60, 5).into_iter().enumerate() {
         let maxlive = Liveness::compute(&f).maxlive_precise(&f);
         let k = (maxlive / 2).max(3);
-        let mut flat_f = f.clone();
-        let flat = spill::spill_to_pressure(&mut flat_f, k);
-        let mut ref_f = f.clone();
-        let reference = reference_spill_to_pressure(&mut ref_f, k);
-        assert_eq!(flat.spilled, reference.spilled);
-        assert_eq!(flat.reloads, reference.reloads);
+        assert_spiller_matches_reference(&f, k, &format!("module function {i}"));
     }
+}
+
+/// The same equivalence on lowered functions: `destruct_ssa` output can
+/// define a variable several times, and the incremental rebuild set leans
+/// on the *first*-definition block of a victim there.  Both pressure
+/// targets make the pass spill; the inputs left with several definitions
+/// must contribute victims.
+#[test]
+fn incremental_spiller_matches_the_reference_on_lowered_functions() {
+    let mut multi_def_victims = 0;
+    let inputs = workload_functions()
+        .into_iter()
+        .chain(module_functions(24, 9));
+    for (i, mut f) in inputs.enumerate() {
+        out_of_ssa::destruct_ssa(&mut f);
+        let maxlive = Liveness::compute(&f).maxlive_precise(&f);
+        for k in [(maxlive / 2).max(3), 3] {
+            let victims = assert_spiller_matches_reference(&f, k, &format!("lowered input {i}"));
+            if !ssa::is_ssa(&f) {
+                multi_def_victims += victims;
+            }
+        }
+    }
+    assert!(
+        multi_def_victims > 0,
+        "no multiply-defined lowered input spilled"
+    );
 }
