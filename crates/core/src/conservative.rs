@@ -17,6 +17,12 @@
 //!
 //! — plus an exponential [`conservative_exact`] used to measure how far the
 //! local rules are from the optimum on small instances.
+//!
+//! Costs: [`briggs_test`] and [`george_test`] are one allocation-free
+//! two-pointer walk over the sorted neighbor rows of the two vertices,
+//! `O(d(a) + d(b))`.  [`conservative_coalesce`] sorts the affinities by
+//! weight once and then sweeps them to a fixpoint, so each pass costs the
+//! sum of its rule tests plus the merges it accepts.
 
 use crate::affinity::{Affinity, AffinityGraph, Coalescing, CoalescingStats};
 use coalesce_graph::{coloring, greedy, Graph, VertexId};
@@ -54,22 +60,42 @@ pub struct ConservativeResult {
 /// Briggs' test on the *current* (partially coalesced) graph: the vertex
 /// obtained by merging `a` and `b` has fewer than `k` neighbors of
 /// significant degree (≥ `k`).
+///
+/// One two-pointer walk over the sorted rows of `a` and `b`,
+/// `O(d(a) + d(b))` with no allocation: a vertex found in both rows is a
+/// common neighbor and loses one degree on the merge.
 pub fn briggs_test(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
+    let (row_a, row_b) = (graph.neighbor_row(a), graph.neighbor_row(b));
+    let (mut i, mut j) = (0, 0);
     let mut significant = 0usize;
-    let mut counted: std::collections::BTreeSet<VertexId> = std::collections::BTreeSet::new();
-    for &x in [a, b].iter() {
-        for n in graph.neighbors(x) {
-            if n == a || n == b || !counted.insert(n) {
-                continue;
+    loop {
+        let (n, common) = match (row_a.get(i), row_b.get(j)) {
+            (Some(&x), Some(&y)) if x == y => {
+                i += 1;
+                j += 1;
+                (x, true)
             }
-            // Degree of n in the merged graph: if n is adjacent to both a and
-            // b, merging reduces its degree by one.
-            let mut degree = graph.degree(n);
-            if graph.has_edge(n, a) && graph.has_edge(n, b) {
-                degree -= 1;
+            (Some(&x), Some(&y)) if x < y => {
+                i += 1;
+                (x, false)
             }
-            if degree >= k {
-                significant += 1;
+            (Some(&x), None) => {
+                i += 1;
+                (x, false)
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                (y, false)
+            }
+            (None, None) => break,
+        };
+        if n == a || n == b {
+            continue;
+        }
+        if graph.degree(n) - usize::from(common) >= k {
+            significant += 1;
+            if significant >= k {
+                return false;
             }
         }
     }
@@ -78,11 +104,21 @@ pub fn briggs_test(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
 
 /// George's test on the current graph, in the direction "merge `a` into
 /// `b`": every neighbor of `a` with degree ≥ `k` is also a neighbor of `b`.
+///
+/// One two-pointer walk over the sorted rows of `a` and `b`,
+/// `O(d(a) + d(b))` with no allocation.
 pub fn george_test(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
-    graph
-        .neighbors(a)
-        .filter(|&n| n != b)
-        .all(|n| graph.degree(n) < k || graph.has_edge(n, b))
+    let row_b = graph.neighbor_row(b);
+    let mut j = 0;
+    graph.neighbor_row(a).iter().all(|&n| {
+        if n == b || graph.degree(n) < k {
+            return true;
+        }
+        while j < row_b.len() && row_b[j] < n {
+            j += 1;
+        }
+        row_b.get(j) == Some(&n)
+    })
 }
 
 /// The extended George test of §4, in the direction "merge `a` into `b`":
@@ -143,12 +179,13 @@ pub fn conservative_coalesce(
     // Rejected rule decisions, reported once at the fixpoint (accepted
     // merges are counted by `Coalescing::merge` for every strategy).
     let mut rejected: u64 = 0;
+    let affinities = ag.affinities_by_weight();
     // Keep looping over the affinities until a fixed point: a merge can make
     // a previously rejected merge acceptable.
     let mut changed = true;
     while changed {
         changed = false;
-        for aff in ag.affinities_by_weight() {
+        for aff in &affinities {
             let (ra, rb) = (coalescing.class_of(aff.a), coalescing.class_of(aff.b));
             if ra == rb || coalescing.merged_graph.has_edge(ra, rb) {
                 continue;

@@ -28,6 +28,12 @@ use std::collections::BTreeSet;
 /// per-element set overhead), which is what
 /// makes [`chordal_maximal_cliques`] and
 /// [`crate::cliquetree::CliqueTree::build`] linear instead of quadratic.
+///
+/// Cliques are plain vectors in discovery order, **not sorted**: a clique
+/// is its starter's `M(v)` in row order, then the starter, then the
+/// joiners in visit order.  Callers that only measure or discard them (the
+/// chordality test, the clique number) pay no set construction; the public
+/// exits that hand cliques out convert them to sorted sets.
 pub(crate) struct CliqueForest {
     /// Vertices in MCS **visit** order (first visited first).  The reverse
     /// is the elimination order [`maximum_cardinality_search`] returns.
@@ -37,7 +43,8 @@ pub(crate) struct CliqueForest {
     /// and edge fields are meaningless and must not be used.
     pub chordal: bool,
     /// The maximal cliques, in discovery order (at most one per vertex).
-    pub cliques: Vec<BTreeSet<VertexId>>,
+    /// Members are unsorted (see the type documentation).
+    pub cliques: Vec<Vec<VertexId>>,
     /// Clique-tree edges: the Blair–Peyton parent links, plus one
     /// (empty-separator) stitch edge per extra connected component so the
     /// node set always forms a single tree.
@@ -70,7 +77,7 @@ pub(crate) fn mcs_clique_forest(g: &Graph) -> CliqueForest {
     let mut visit_pos = vec![usize::MAX; cap];
     let mut clique_of = vec![usize::MAX; cap];
     let mut visit_order: Vec<VertexId> = Vec::with_capacity(n);
-    let mut cliques: Vec<BTreeSet<VertexId>> = Vec::new();
+    let mut cliques: Vec<Vec<VertexId>> = Vec::new();
     let mut tree_edges: Vec<(usize, usize)> = Vec::new();
 
     // buckets[w] holds candidates whose weight may be w; a vertex's entry
@@ -105,9 +112,10 @@ pub(crate) fn mcs_clique_forest(g: &Graph) -> CliqueForest {
 
         if prev_card == usize::MAX || card <= prev_card {
             // M(v): the already-visited neighbors, and the one visited
-            // last (only clique starters need the set materialised).
+            // last (only clique starters need the set materialised).  The
+            // buffer has room for v, so it becomes the clique as is.
             let mut m_last: Option<VertexId> = None;
-            let mut m_v: Vec<VertexId> = Vec::with_capacity(card);
+            let mut m_v: Vec<VertexId> = Vec::with_capacity(card + 1);
             for u in g.neighbors(v) {
                 if visited[u.index()] && u != v {
                     m_v.push(u);
@@ -128,15 +136,14 @@ pub(crate) fn mcs_clique_forest(g: &Graph) -> CliqueForest {
                 None if s > 0 => tree_edges.push((s, s - 1)),
                 None => {}
             }
-            let mut clique: BTreeSet<VertexId> = m_v.iter().copied().collect();
-            clique.insert(v);
-            cliques.push(clique);
+            m_v.push(v);
+            cliques.push(m_v);
         } else {
             // v joins the clique under construction.
             cliques
                 .last_mut()
                 .expect("a clique exists once a vertex was visited")
-                .insert(v);
+                .push(v);
         }
         clique_of[v.index()] = cliques.len() - 1;
         prev_card = card;
@@ -319,7 +326,7 @@ pub fn chordal_clique_number(g: &Graph) -> Option<usize> {
     let forest = mcs_clique_forest(g);
     forest
         .chordal
-        .then(|| forest.cliques.iter().map(BTreeSet::len).max().unwrap_or(0))
+        .then(|| forest.cliques.iter().map(Vec::len).max().unwrap_or(0))
 }
 
 /// Enumerates the maximal cliques of a **chordal** graph, in `O(V + E)`.
@@ -332,7 +339,13 @@ pub fn chordal_clique_number(g: &Graph) -> Option<usize> {
 /// Returns `None` if `g` is not chordal.
 pub fn chordal_maximal_cliques(g: &Graph) -> Option<Vec<BTreeSet<VertexId>>> {
     let forest = mcs_clique_forest(g);
-    forest.chordal.then_some(forest.cliques)
+    forest.chordal.then(|| {
+        forest
+            .cliques
+            .into_iter()
+            .map(|c| c.into_iter().collect())
+            .collect()
+    })
 }
 
 /// Returns one maximum clique of a **chordal** graph — a witness for the
@@ -340,16 +353,18 @@ pub fn chordal_maximal_cliques(g: &Graph) -> Option<Vec<BTreeSet<VertexId>>> {
 /// independently checkable certificate (every pair must be adjacent and the
 /// size must equal the claimed clique number).
 ///
-/// Returns `None` if `g` is not chordal.
+/// The witness is in ascending vertex order.  Returns `None` if `g` is not
+/// chordal.
 pub fn chordal_max_clique(g: &Graph) -> Option<Vec<VertexId>> {
     let forest = mcs_clique_forest(g);
     forest.chordal.then(|| {
-        forest
+        let mut witness = forest
             .cliques
-            .iter()
-            .max_by_key(|c| c.len())
-            .map(|c| c.iter().copied().collect())
-            .unwrap_or_default()
+            .into_iter()
+            .max_by_key(Vec::len)
+            .unwrap_or_default();
+        witness.sort_unstable();
+        witness
     })
 }
 

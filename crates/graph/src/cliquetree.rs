@@ -45,7 +45,11 @@ impl CliqueTree {
         if !forest.chordal {
             return None;
         }
-        let cliques = forest.cliques;
+        let cliques: Vec<BTreeSet<VertexId>> = forest
+            .cliques
+            .into_iter()
+            .map(|c| c.into_iter().collect())
+            .collect();
         let mut adjacency = vec![Vec::new(); cliques.len()];
         for &(a, b) in &forest.tree_edges {
             adjacency[a].push(b);

@@ -9,12 +9,20 @@
 //! is the graph after removing the `i` smallest-degree-last vertices
 //! (Jensen & Toft, reference [23] of the paper).
 //!
+//! Costs: [`simplify`] is a worklist pass, `O(n + m)`.  The smallest-last
+//! elimination behind [`coloring_number`] and [`smallest_last_order`] is
+//! one shared loop over a lazy-deletion binary heap, `O((n + m) log n)`;
+//! it removes the vertex of minimum `(degree, index)` at every step, so its
+//! order is the same as a full rescan of the remaining vertices would give.
+//!
 //! Property 1 of the paper — a `k`-colorable chordal graph is
 //! greedy-k-colorable — is exercised by the property tests of this crate
 //! and of the benchmark harness (experiment E7).
 
 use crate::coloring::{greedy_coloring_in_order, Coloring};
 use crate::graph::{Graph, VertexId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The result of running the greedy elimination scheme with bound `k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,64 +107,63 @@ pub fn is_greedy_k_colorable(g: &Graph, k: usize) -> bool {
 /// greedy-k-colorable, via a smallest-last ordering.
 ///
 /// For the empty graph this is 0; for a graph with vertices but no edges it
-/// is 1.
+/// is 1.  `O((n + m) log n)` (see [`smallest_last_order`]).
 pub fn coloring_number(g: &Graph) -> usize {
-    if g.num_vertices() == 0 {
-        return 0;
-    }
-    let cap = g.capacity();
-    let mut degree = vec![0usize; cap];
-    let mut present = vec![false; cap];
-    for v in g.vertices() {
-        degree[v.index()] = g.degree(v);
-        present[v.index()] = true;
-    }
-    let mut col = 0usize;
-    for _ in 0..g.num_vertices() {
-        let v = g
-            .vertices()
-            .filter(|v| present[v.index()])
-            .min_by_key(|v| (degree[v.index()], v.index()))
-            .expect("live vertex remains");
-        col = col.max(degree[v.index()] + 1);
-        present[v.index()] = false;
-        for u in g.neighbors(v) {
-            if present[u.index()] {
-                degree[u.index()] -= 1;
-            }
-        }
-    }
-    col
+    smallest_last_elimination(g).1
 }
 
 /// Returns a smallest-last ordering of the live vertices: the order in which
 /// [`coloring_number`] removes them, **reversed** (so that greedily coloring
 /// in this order uses at most `col(G)` colors).
+///
+/// Each step removes the remaining vertex of minimum `(degree, index)`, so
+/// ties go to the smallest identifier.  `O((n + m) log n)`.
 pub fn smallest_last_order(g: &Graph) -> Vec<VertexId> {
+    let mut removal = smallest_last_elimination(g).0;
+    removal.reverse();
+    removal
+}
+
+/// The smallest-last elimination shared by [`coloring_number`] and
+/// [`smallest_last_order`]: repeatedly removes the remaining vertex of
+/// minimum `(degree, index)`.  Returns the removal order and
+/// `col(G) = 1 + max` degree at removal (0 for the empty graph).
+///
+/// The minimum comes from a lazy-deletion min-heap: every degree decrement
+/// pushes a fresh `(degree, vertex)` entry, and a popped entry is skipped
+/// when its vertex is already removed.  Degrees only fall, so a vertex's
+/// newest entry is its smallest one and pops before any of its stale
+/// entries: the first pop of a remaining vertex carries its current degree
+/// and is exactly the minimum.  At most `n + m` entries are pushed.
+fn smallest_last_elimination(g: &Graph) -> (Vec<VertexId>, usize) {
     let cap = g.capacity();
     let mut degree = vec![0usize; cap];
     let mut present = vec![false; cap];
+    let mut entries = Vec::with_capacity(g.num_vertices());
     for v in g.vertices() {
         degree[v.index()] = g.degree(v);
         present[v.index()] = true;
+        entries.push(Reverse((degree[v.index()], v)));
     }
+    let mut heap = BinaryHeap::from(entries);
     let mut removal = Vec::with_capacity(g.num_vertices());
-    for _ in 0..g.num_vertices() {
-        let v = g
-            .vertices()
-            .filter(|v| present[v.index()])
-            .min_by_key(|v| (degree[v.index()], v.index()))
-            .expect("live vertex remains");
+    let mut col = 0usize;
+    while let Some(Reverse((d, v))) = heap.pop() {
+        if !present[v.index()] {
+            continue;
+        }
+        debug_assert_eq!(d, degree[v.index()], "stale entry popped first");
         present[v.index()] = false;
         removal.push(v);
-        for u in g.neighbors(v) {
+        col = col.max(d + 1);
+        for &u in g.neighbor_row(v) {
             if present[u.index()] {
                 degree[u.index()] -= 1;
+                heap.push(Reverse((degree[u.index()], u)));
             }
         }
     }
-    removal.reverse();
-    removal
+    (removal, col)
 }
 
 /// Colors a greedy-k-colorable graph with at most `k` colors by coloring the

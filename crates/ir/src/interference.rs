@@ -82,8 +82,13 @@ impl InterferenceGraph {
     }
 
     /// Builds the interference graph of `f` with explicit options.
+    ///
+    /// The interfering pairs, repeats included, are collected in one flat
+    /// list and the graph is built once by [`Graph::from_edges`], which
+    /// sorts and deduplicates each row, rather than by one sorted insertion
+    /// per edge.
     pub fn build_with(f: &Function, liveness: &Liveness, options: BuildOptions) -> Self {
-        let mut graph = Graph::new(f.num_vars());
+        let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
         let mut affinities = Vec::new();
 
         for b in f.block_ids() {
@@ -94,13 +99,13 @@ impl InterferenceGraph {
             let phi_defs: Vec<Var> = f.phis(b).filter_map(|p| p.def()).collect();
             for (i, &p) in phi_defs.iter().enumerate() {
                 for &q in &phi_defs[i + 1..] {
-                    add_edge(&mut graph, p, q);
+                    add_edge(&mut edges, p, q);
                 }
                 // φ results also interfere with everything live into the
                 // block (other than themselves).
                 for v in liveness.live_in(b).iter() {
                     if v != p {
-                        add_edge(&mut graph, p, v);
+                        add_edge(&mut edges, p, v);
                     }
                 }
             }
@@ -126,7 +131,7 @@ impl InterferenceGraph {
                                 }
                             }
                         }
-                        add_edge(&mut graph, d, v);
+                        add_edge(&mut edges, d, v);
                     }
                 }
             });
@@ -173,6 +178,7 @@ impl InterferenceGraph {
             .map(|((a, b), weight)| Affinity { a, b, weight })
             .collect();
 
+        let graph = Graph::from_edges(f.num_vars(), edges);
         InterferenceGraph { graph, affinities }
     }
 
@@ -212,9 +218,9 @@ impl InterferenceGraph {
     }
 }
 
-fn add_edge(graph: &mut Graph, a: Var, b: Var) {
+fn add_edge(edges: &mut Vec<(VertexId, VertexId)>, a: Var, b: Var) {
     if a != b {
-        graph.add_edge(VertexId::new(a.index()), VertexId::new(b.index()));
+        edges.push((VertexId::new(a.index()), VertexId::new(b.index())));
     }
 }
 

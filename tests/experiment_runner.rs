@@ -376,6 +376,35 @@ fn e16_module_allocation_stays_within_the_wall_clock_budget() {
     );
 }
 
+/// Complexity guard for the smallest-last elimination behind
+/// `greedy::smallest_last_order` and `greedy::coloring_number` (the select
+/// order of the SSA allocator and the degeneracy of `GraphStats`).  On a
+/// 50 000-vertex graph of degree ≤ 4 the heap-based elimination takes
+/// milliseconds; a per-step scan over all vertices needs seconds, so this
+/// fails if a quadratic loop comes back.
+#[test]
+fn smallest_last_elimination_is_near_linear_on_a_large_sparse_graph() {
+    let n = 50_000usize;
+    let edges = (0..n).flat_map(|i| {
+        [(i + 1) % n, (i * 31 + 17) % n]
+            .into_iter()
+            .filter(move |&j| j != i)
+            .map(move |j| (i.into(), j.into()))
+    });
+    let g = coalesce_graph::Graph::from_edges(n, edges);
+    let start = Instant::now();
+    let order = coalesce_graph::greedy::smallest_last_order(&g);
+    let col = coalesce_graph::greedy::coloring_number(&g);
+    let elapsed = start.elapsed();
+    assert_eq!(order.len(), n);
+    assert!((2..=5).contains(&col), "col = {col}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "smallest-last order + coloring number took {elapsed:?} on {n} vertices \
+         (budget: 1 s) — check greedy.rs for a per-step scan over all vertices"
+    );
+}
+
 /// `run-experiments --experiment e17 --seed 42` must reproduce the
 /// committed fixture byte-for-byte on every deterministic field (the
 /// per-spiller and total wall-clock summary lines are masked on both

@@ -1,17 +1,22 @@
 //! Property-based tests for the graph-substrate extensions: LexBFS,
 //! minimal triangulation, interval models, file formats and the
-//! Theorem-5-guided chordal coalescing strategy.
+//! Theorem-5-guided chordal coalescing strategy — plus equivalence tests
+//! that pin the sorted-row graph kernels (smallest-last elimination,
+//! Briggs/George tests, Blair–Peyton cliques) to set-based specifications
+//! of their definitions.
 
 use coalesce_core::affinity::{Affinity, AffinityGraph};
 use coalesce_core::chordal_strategy::{
     chordal_conservative_coalesce, result_is_k_colorable, ChordalMode,
 };
+use coalesce_core::conservative::{briggs_test, george_test};
 use coalesce_gen::{families, graphs};
 use coalesce_graph::format::{from_challenge, to_challenge, to_dimacs, ChallengeFile};
 use coalesce_graph::{
-    chordal, cliques, coloring, fillin, format, interval, lexbfs, stats, Graph, VertexId,
+    chordal, cliques, coloring, fillin, format, greedy, interval, lexbfs, stats, Graph, VertexId,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arbitrary_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2..max_n).prop_flat_map(|n| {
@@ -31,8 +36,130 @@ fn arbitrary_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A random graph on which some non-adjacent pairs were merged, so the
+/// capacity exceeds the live count and retired identifiers sit between
+/// live ones.
+fn partially_merged_graph(max_n: usize) -> impl Strategy<Value = Graph> {
+    (
+        arbitrary_graph(max_n),
+        proptest::collection::vec((0..max_n, 0..max_n), 0..6),
+    )
+        .prop_map(|(mut g, merges)| {
+            for (into, from) in merges {
+                let (into, from) = (VertexId::new(into), VertexId::new(from));
+                if into != from && g.is_live(into) && g.is_live(from) && !g.has_edge(into, from) {
+                    g.merge(into, from);
+                }
+            }
+            g
+        })
+}
+
+/// Smallest-last elimination by definition: repeatedly remove the
+/// remaining vertex of minimum `(degree, index)`, degrees counted afresh in
+/// the remaining graph.  Returns the removal order and
+/// `1 + max` degree at removal.
+fn reference_smallest_last(g: &Graph) -> (Vec<VertexId>, usize) {
+    let mut rest: BTreeSet<VertexId> = g.vertices().collect();
+    let mut removal = Vec::new();
+    let mut col = 0;
+    while let Some((degree, v)) = rest
+        .iter()
+        .map(|&v| (g.neighbors(v).filter(|u| rest.contains(u)).count(), v))
+        .min()
+    {
+        rest.remove(&v);
+        removal.push(v);
+        col = col.max(degree + 1);
+    }
+    (removal, col)
+}
+
+/// Briggs' rule by definition: build the merged vertex's neighborhood as a
+/// set and count the members whose degree in the merged graph is ≥ `k`.
+/// A neighbor of `a` or `b` keeps its neighbors outside `{a, b}` and gains
+/// the merged vertex.
+fn reference_briggs(g: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
+    let merged: BTreeSet<VertexId> = g
+        .neighbors(a)
+        .chain(g.neighbors(b))
+        .filter(|&n| n != a && n != b)
+        .collect();
+    let significant = merged
+        .iter()
+        .filter(|&&n| g.neighbors(n).filter(|&m| m != a && m != b).count() + 1 >= k)
+        .count();
+    significant < k
+}
+
+/// George's rule by definition: the significant neighbors of `a` (other
+/// than `b`) form a subset of `b`'s neighborhood.
+fn reference_george(g: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
+    let of_b: BTreeSet<VertexId> = g.neighbors(b).collect();
+    g.neighbors(a)
+        .filter(|&n| n != b && g.degree(n) >= k)
+        .all(|n| of_b.contains(&n))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn smallest_last_order_and_coloring_number_match_the_definition(
+        g in partially_merged_graph(14)
+    ) {
+        let (mut removal, col) = reference_smallest_last(&g);
+        removal.reverse();
+        prop_assert_eq!(greedy::smallest_last_order(&g), removal);
+        prop_assert_eq!(greedy::coloring_number(&g), col);
+    }
+
+    #[test]
+    fn briggs_and_george_tests_match_the_set_based_definition(
+        g in partially_merged_graph(12)
+    ) {
+        let live: Vec<VertexId> = g.vertices().collect();
+        for k in 1..=6 {
+            for &a in &live {
+                for &b in &live {
+                    if a == b {
+                        continue;
+                    }
+                    prop_assert_eq!(
+                        briggs_test(&g, k, a, b),
+                        reference_briggs(&g, k, a, b),
+                        "Briggs on ({:?}, {:?}) at k = {}", a, b, k
+                    );
+                    prop_assert_eq!(
+                        george_test(&g, k, a, b),
+                        reference_george(&g, k, a, b),
+                        "George on ({:?}, {:?}) at k = {}", a, b, k
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chordal_cliques_match_bron_kerbosch_on_random_chordal_graphs(
+        seed in 0u64..1000,
+        n in 1usize..30,
+        max_clique in 1usize..7,
+    ) {
+        let mut rng = coalesce_gen::rng(seed);
+        let g = graphs::random_chordal_graph(n, max_clique, &mut rng);
+        let found: BTreeSet<BTreeSet<VertexId>> = chordal::chordal_maximal_cliques(&g)
+            .expect("generator output is chordal")
+            .into_iter()
+            .collect();
+        let expected: BTreeSet<BTreeSet<VertexId>> =
+            cliques::maximal_cliques(&g).into_iter().collect();
+        prop_assert_eq!(&found, &expected);
+        let witness = chordal::chordal_max_clique(&g).expect("chordal");
+        prop_assert_eq!(witness.len(), cliques::clique_number(&g));
+        prop_assert!(witness.windows(2).all(|w| w[0] < w[1]), "witness not ascending");
+        prop_assert!(expected.contains(&witness.iter().copied().collect::<BTreeSet<_>>()));
+    }
 
     #[test]
     fn lexbfs_and_mcs_agree_on_chordality(g in arbitrary_graph(9)) {
