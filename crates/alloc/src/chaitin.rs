@@ -68,7 +68,7 @@ pub fn chaitin_allocate(f: &Function, config: ChaitinConfig) -> ChaitinOutcome {
     let mut spilled_values: Vec<Var> = Vec::new();
     let mut reloads_inserted = 0usize;
     let mut rounds = 0usize;
-    let mut last_result: Option<(irc::IrcResult, AffinityGraph)> = None;
+    let mut last_result: Option<irc::IrcResult> = None;
 
     while rounds < config.max_rounds.max(1) {
         rounds += 1;
@@ -78,7 +78,7 @@ pub fn chaitin_allocate(f: &Function, config: ChaitinConfig) -> ChaitinOutcome {
         let result = irc::allocate(&ag, k);
         let spills: Vec<Var> = result.spilled.iter().map(|v| Var::new(v.index())).collect();
         if spills.is_empty() || rounds == config.max_rounds.max(1) {
-            last_result = Some((result, ag));
+            last_result = Some(result);
             break;
         }
         // Insert spill code for every actual spill and rebuild.
@@ -88,10 +88,10 @@ pub fn chaitin_allocate(f: &Function, config: ChaitinConfig) -> ChaitinOutcome {
         }
         reloads_inserted += spill_result.reloads;
         spilled_values.extend(spills);
-        last_result = Some((result, ag));
+        last_result = Some(result);
     }
 
-    let (result, _ag) = last_result.expect("at least one round ran");
+    let result = last_result.expect("at least one round ran");
     let mut assignment = RegisterAssignment::new();
     for i in 0..function.num_vars() {
         let var = Var::new(i);

@@ -18,11 +18,49 @@
 //! The allocator returns the coloring, the coalescing it performed and the
 //! set of actual spills, which is the "resulting spills" metric used by the
 //! challenge-style experiment (E8).
+//!
+//! # Worklists
+//!
+//! As in George and Appel's formulation, the phases run off worklists
+//! rather than rescans of the whole graph:
+//!
+//! * every class representative keeps the list of its incident move
+//!   indices and a count of its *active* moves — not frozen, between two
+//!   distinct classes, neither end removed — so "move related" is
+//!   `count > 0`.  A move that stops being active (frozen, coalesced, or
+//!   an end removed) never becomes active again and is dropped for good;
+//! * the simplify worklist holds the live vertices of degree < `k` with no
+//!   active move, the freeze worklist those of degree < `k` with one.  Only
+//!   the vertices an event touched are re-filed: the removed vertex's
+//!   neighbors and the other ends of its moves, the merged vertex and the
+//!   absorbed vertex's old neighbors, the other ends of frozen moves;
+//! * the coalesce phase walks the surviving moves in ascending index
+//!   order, dropping inactive ones as it goes.
+//!
+//! Every choice keeps the tie-break of the plain scan formulation
+//! (`tests/graph_toolkit.rs` keeps that formulation as the reference):
+//! simplify and freeze take the *smallest* qualifying vertex index (both
+//! worklists are min-heaps over indices), coalesce takes the first move in
+//! index order that passes Briggs or George in either direction and
+//! freezes a constrained move only when the walk reaches it, and potential
+//! spill takes the maximum `(degree, index)`.  Those choices fix which
+//! classes form, the select order and hence the colors, so the E8/E13/E14
+//! report rows and the Chaitin–Briggs spill sequence depend on them.
+//!
+//! Cost per step, with `d` the degree of the vertices involved: a simplify
+//! or potential-spill removal pays the graph update plus O(d log n) to
+//! re-file the neighbors and the other ends of its moves; a freeze pays
+//! for the vertex's moves; a merge pays the row union plus both move
+//! lists.  A coalesce phase re-tests the surviving moves up to the first
+//! merge, O(d) each; a potential spill scans the live vertices, O(n).
+//! Select reuses one stamp array, never longer than `min(k, d + 1)`.
 
 use crate::affinity::{AffinityGraph, Coalescing, CoalescingStats};
 use crate::conservative::{briggs_test, george_test};
-use coalesce_graph::{Coloring, VertexId};
-use std::collections::BTreeSet;
+use coalesce_graph::coloring::ColorScratch;
+use coalesce_graph::{Coloring, Graph, VertexId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of running the IRC-style allocator.
 #[derive(Debug, Clone)]
@@ -52,136 +90,298 @@ impl IrcResult {
     }
 }
 
-/// Runs the IRC-style allocation with `k` registers.
-pub fn allocate(ag: &AffinityGraph, k: usize) -> IrcResult {
-    let mut coalescing = Coalescing::identity(&ag.graph);
+/// A vertex worklist that yields its smallest member.  Membership is
+/// checked lazily: a vertex is queued at most once, and a queued vertex
+/// that no longer qualifies is dropped when it reaches the top.
+struct Worklist {
+    heap: BinaryHeap<Reverse<u32>>,
+    queued: Vec<bool>,
+}
 
-    // Move-related representative pairs (kept up to date lazily).
-    let moves: Vec<(VertexId, VertexId)> = ag.affinities.iter().map(|a| (a.a, a.b)).collect();
+impl Worklist {
+    fn new(n: usize) -> Self {
+        Worklist {
+            heap: BinaryHeap::new(),
+            queued: vec![false; n],
+        }
+    }
 
-    // The select stack of class representatives, plus whether they were
-    // pushed as potential spills.
-    let mut stack: Vec<(VertexId, bool)> = Vec::new();
-    // Representatives already removed from the working graph.
-    let mut removed: BTreeSet<VertexId> = BTreeSet::new();
-    // Frozen moves no longer considered for coalescing.
-    let mut frozen: BTreeSet<usize> = BTreeSet::new();
+    fn push(&mut self, v: VertexId) {
+        if !self.queued[v.index()] {
+            self.queued[v.index()] = true;
+            self.heap.push(Reverse(v.index() as u32));
+        }
+    }
 
-    // Working copy of the merged graph; vertices are physically removed as
-    // they are simplified so that degrees reflect the residual graph.
-    let mut work = coalescing.merged_graph.clone();
+    /// The smallest queued vertex that satisfies `member` (left queued).
+    fn first(&mut self, member: impl Fn(VertexId) -> bool) -> Option<VertexId> {
+        while let Some(&Reverse(i)) = self.heap.peek() {
+            let v = VertexId::new(i as usize);
+            if member(v) {
+                return Some(v);
+            }
+            self.heap.pop();
+            self.queued[v.index()] = false;
+        }
+        None
+    }
+}
 
-    let is_move_related = |moves: &[(VertexId, VertexId)],
-                           frozen: &BTreeSet<usize>,
-                           coalescing: &mut Coalescing,
-                           removed: &BTreeSet<VertexId>,
-                           v: VertexId| {
-        moves.iter().enumerate().any(|(i, &(a, b))| {
-            if frozen.contains(&i) {
+/// The simplify/coalesce/freeze/spill state of one allocation.
+struct Irc {
+    k: usize,
+    coalescing: Coalescing,
+    /// Residual merged graph: simplified and spilled vertices are removed,
+    /// so degrees are those of the remaining graph.
+    work: Graph,
+    /// Original endpoints of each move.
+    ends: Vec<(VertexId, VertexId)>,
+    /// Moves that are no longer active: frozen, coalesced, or with an end
+    /// removed.  None of these ever becomes active again.
+    retired: Vec<bool>,
+    /// Move indices incident to each class representative (may hold
+    /// retired moves until the list is next pruned).
+    moves_of: Vec<Vec<u32>>,
+    /// Active moves per class representative.
+    count: Vec<u32>,
+    /// Surviving move indices in ascending order, for the coalesce walk.
+    candidates: Vec<u32>,
+    simplify: Worklist,
+    freeze: Worklist,
+    scratch: Vec<VertexId>,
+}
+
+impl Irc {
+    fn new(ag: &AffinityGraph, k: usize) -> Self {
+        let n = ag.graph.capacity();
+        let mut irc = Irc {
+            k,
+            coalescing: Coalescing::identity(&ag.graph),
+            work: ag.graph.clone(),
+            ends: ag.affinities.iter().map(|a| (a.a, a.b)).collect(),
+            retired: vec![false; ag.affinities.len()],
+            moves_of: vec![Vec::new(); n],
+            count: vec![0; n],
+            candidates: Vec::with_capacity(ag.affinities.len()),
+            simplify: Worklist::new(n),
+            freeze: Worklist::new(n),
+            scratch: Vec::new(),
+        };
+        for (m, &(a, b)) in irc.ends.iter().enumerate() {
+            if a == b {
+                irc.retired[m] = true;
+                continue;
+            }
+            for end in [a, b] {
+                irc.moves_of[end.index()].push(m as u32);
+                irc.count[end.index()] += 1;
+            }
+            irc.candidates.push(m as u32);
+        }
+        for v in 0..irc.work.capacity() {
+            irc.refile(VertexId::new(v));
+        }
+        irc
+    }
+
+    /// Puts `v` on the worklist its degree and moves call for.
+    fn refile(&mut self, v: VertexId) {
+        if self.work.is_live(v) && self.work.degree(v) < self.k {
+            if self.count[v.index()] == 0 {
+                self.simplify.push(v);
+            } else {
+                self.freeze.push(v);
+            }
+        }
+    }
+
+    fn next_simplify(&mut self) -> Option<VertexId> {
+        let (work, count, k) = (&self.work, &self.count, self.k);
+        self.simplify
+            .first(|v| work.is_live(v) && work.degree(v) < k && count[v.index()] == 0)
+    }
+
+    fn next_freeze(&mut self) -> Option<VertexId> {
+        let (work, count, k) = (&self.work, &self.count, self.k);
+        self.freeze
+            .first(|v| work.is_live(v) && work.degree(v) < k && count[v.index()] > 0)
+    }
+
+    /// Retires every active move of the class `v`.
+    fn retire_moves_of(&mut self, v: VertexId) {
+        for m in std::mem::take(&mut self.moves_of[v.index()]) {
+            let m = m as usize;
+            if self.retired[m] {
+                continue;
+            }
+            self.retired[m] = true;
+            let (a, b) = self.ends[m];
+            let ra = self.coalescing.class_of(a);
+            let other = if ra == v {
+                self.coalescing.class_of(b)
+            } else {
+                ra
+            };
+            self.count[other.index()] -= 1;
+            self.refile(other);
+        }
+        self.count[v.index()] = 0;
+    }
+
+    /// Removes `v` from the residual graph (simplify or potential spill).
+    fn remove(&mut self, v: VertexId) {
+        let mut neighbors = std::mem::take(&mut self.scratch);
+        neighbors.clear();
+        neighbors.extend_from_slice(self.work.neighbor_row(v));
+        self.work.remove_vertex(v);
+        for &n in &neighbors {
+            self.refile(n);
+        }
+        self.scratch = neighbors;
+        self.retire_moves_of(v);
+    }
+
+    /// Coalesces the classes `ra` and `rb`; `ra` survives.
+    fn merge(&mut self, ra: VertexId, rb: VertexId) {
+        let mut neighbors = std::mem::take(&mut self.scratch);
+        neighbors.clear();
+        neighbors.extend_from_slice(self.work.neighbor_row(rb));
+        self.work.merge(ra, rb);
+        self.coalescing.merge(ra, rb);
+
+        let mut moves = std::mem::take(&mut self.moves_of[ra.index()]);
+        moves.append(&mut self.moves_of[rb.index()]);
+        let (coalescing, retired, ends) = (&mut self.coalescing, &mut self.retired, &self.ends);
+        moves.retain(|&m| {
+            let m = m as usize;
+            if retired[m] {
                 return false;
             }
-            let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
-            ra != rb && !removed.contains(&ra) && !removed.contains(&rb) && (ra == v || rb == v)
-        })
-    };
+            let (a, b) = ends[m];
+            if coalescing.class_of(a) == coalescing.class_of(b) {
+                retired[m] = true;
+                return false;
+            }
+            true
+        });
+        self.count[ra.index()] = moves.len() as u32;
+        self.count[rb.index()] = 0;
+        self.moves_of[ra.index()] = moves;
+
+        self.refile(ra);
+        for &n in &neighbors {
+            self.refile(n);
+        }
+        self.scratch = neighbors;
+    }
+
+    /// One coalesce phase: walks the surviving moves in index order,
+    /// freezing constrained ones, and merges the first that passes Briggs
+    /// or George.  Returns `true` if a merge happened.
+    fn coalesce(&mut self) -> bool {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        let (mut kept, mut next) = (0, 0);
+        let mut merged = false;
+        while next < candidates.len() {
+            let m = candidates[next] as usize;
+            next += 1;
+            if self.retired[m] {
+                continue;
+            }
+            let (a, b) = self.ends[m];
+            let (ra, rb) = (self.coalescing.class_of(a), self.coalescing.class_of(b));
+            if self.work.has_edge(ra, rb) {
+                // Constrained move: never coalescible; freeze it.
+                self.retired[m] = true;
+                self.count[ra.index()] -= 1;
+                self.count[rb.index()] -= 1;
+                self.refile(ra);
+                self.refile(rb);
+                continue;
+            }
+            candidates[kept] = m as u32;
+            kept += 1;
+            let (work, k) = (&self.work, self.k);
+            if briggs_test(work, k, ra, rb)
+                || george_test(work, k, ra, rb)
+                || george_test(work, k, rb, ra)
+            {
+                self.merge(ra, rb);
+                merged = true;
+                break;
+            }
+        }
+        candidates.copy_within(next.., kept);
+        candidates.truncate(kept + (candidates.len() - next));
+        self.candidates = candidates;
+        merged
+    }
+}
+
+/// Runs the IRC-style allocation with `k` registers.
+pub fn allocate(ag: &AffinityGraph, k: usize) -> IrcResult {
+    let mut irc = Irc::new(ag, k);
+    // The select stack of class representatives.
+    let mut stack: Vec<VertexId> = Vec::new();
 
     loop {
         // --- simplify ---
-        let simplifiable = work.vertices().find(|&v| {
-            work.degree(v) < k && !is_move_related(&moves, &frozen, &mut coalescing, &removed, v)
-        });
-        if let Some(v) = simplifiable {
-            work.remove_vertex(v);
-            removed.insert(v);
-            stack.push((v, false));
+        if let Some(v) = irc.next_simplify() {
+            irc.remove(v);
+            stack.push(v);
             continue;
         }
 
         // --- coalesce (Briggs, then George, both directions) ---
-        let mut coalesced_something = false;
-        for (i, &(a, b)) in moves.iter().enumerate() {
-            if frozen.contains(&i) {
-                continue;
-            }
-            let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
-            if ra == rb || removed.contains(&ra) || removed.contains(&rb) {
-                continue;
-            }
-            if work.has_edge(ra, rb) {
-                // Constrained move: never coalescible; freeze it.
-                frozen.insert(i);
-                continue;
-            }
-            let ok = briggs_test(&work, k, ra, rb)
-                || george_test(&work, k, ra, rb)
-                || george_test(&work, k, rb, ra);
-            if ok {
-                work.merge(ra, rb);
-                coalescing.merge(ra, rb);
-                coalesced_something = true;
-                break;
-            }
-        }
-        if coalesced_something {
+        if irc.coalesce() {
             continue;
         }
 
         // --- freeze ---
-        let freezable = work.vertices().find(|&v| {
-            work.degree(v) < k && is_move_related(&moves, &frozen, &mut coalescing, &removed, v)
-        });
-        if let Some(v) = freezable {
-            for (i, &(a, b)) in moves.iter().enumerate() {
-                let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
-                if ra == v || rb == v {
-                    frozen.insert(i);
-                }
-            }
+        if let Some(v) = irc.next_freeze() {
+            irc.retire_moves_of(v);
+            irc.refile(v);
             continue;
         }
 
         // --- potential spill ---
-        let candidate = work.vertices().max_by_key(|&v| (work.degree(v), v.index()));
-        match candidate {
+        let work = &irc.work;
+        match work.vertices().max_by_key(|&v| (work.degree(v), v.index())) {
             Some(v) => {
-                work.remove_vertex(v);
-                removed.insert(v);
-                stack.push((v, true));
+                irc.remove(v);
+                stack.push(v);
             }
             None => break, // graph empty: done
         }
     }
 
     // --- select ---
+    let mut coalescing = irc.coalescing;
     let full_graph = &coalescing.merged_graph;
     let mut coloring = Coloring::new(full_graph.capacity());
-    let mut spilled_reps: Vec<VertexId> = Vec::new();
-    while let Some((v, _potential)) = stack.pop() {
-        let used: BTreeSet<usize> = full_graph
-            .neighbors(v)
-            .filter_map(|n| coloring.color_of(n))
-            .collect();
-        let color = (0..k).find(|c| !used.contains(c));
-        match color {
-            Some(c) => coloring.assign(v, c),
-            None => spilled_reps.push(v),
+    let mut spilled_rep = vec![false; full_graph.capacity()];
+    let mut used = ColorScratch::new();
+    while let Some(v) = stack.pop() {
+        used.begin();
+        for n in full_graph.neighbors(v) {
+            if let Some(c) = coloring.color_of(n) {
+                used.mark(c);
+            }
+        }
+        let color = used.first_free();
+        if color < k {
+            coloring.assign(v, color);
+        } else {
+            spilled_rep[v.index()] = true;
         }
     }
 
     // Expand spilled representatives to original vertices.
-    let mut spilled: Vec<VertexId> = Vec::new();
-    for class in coalescing.classes() {
-        let rep = coalescing.class_of(*class.iter().next().expect("non-empty class"));
-        if spilled_reps.contains(&rep) {
-            for v in class {
-                if ag.graph.is_live(v) {
-                    spilled.push(v);
-                }
-            }
-        }
-    }
-    spilled.sort();
-    spilled.dedup();
+    let spilled: Vec<VertexId> = ag
+        .graph
+        .vertices()
+        .filter(|&v| spilled_rep[coalescing.class_of(v).index()])
+        .collect();
 
     let stats = coalescing.stats(&ag.affinities);
     IrcResult {

@@ -405,6 +405,35 @@ fn smallest_last_elimination_is_near_linear_on_a_large_sparse_graph() {
     );
 }
 
+/// The IRC worklist budget: `irc::allocate` on an 8 345-vertex challenge
+/// instance (1 668 moves) at its own register count.  The worklist
+/// allocator takes milliseconds; rescanning every move for every
+/// low-degree vertex at every step needed 16.7 s already on the
+/// 3 295-vertex `at_scale(2000, 8)` instance, so this fails if the
+/// rescans come back.
+#[test]
+fn irc_allocation_is_near_linear_on_a_large_challenge_instance() {
+    use coalesce_gen::challenge::{challenge_instance, ChallengeParams};
+    let params = ChallengeParams::at_scale(5000, 8);
+    let inst = challenge_instance(&params, &mut coalesce_gen::rng(42));
+    let ag = &inst.affinity_graph;
+    assert_eq!(
+        (ag.graph.num_vertices(), ag.num_affinities()),
+        (8345, 1668),
+        "the challenge generator changed; resize the instance"
+    );
+    let start = Instant::now();
+    let result = coalesce_core::irc::allocate(ag, inst.registers);
+    let elapsed = start.elapsed();
+    assert!(result.stats.coalesced > 0);
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "IRC took {elapsed:?} on {} vertices (budget: 1 s) — check irc.rs \
+         for a per-step rescan of the moves or vertices",
+        ag.graph.num_vertices()
+    );
+}
+
 /// `run-experiments --experiment e17 --seed 42` must reproduce the
 /// committed fixture byte-for-byte on every deterministic field (the
 /// per-spiller and total wall-clock summary lines are masked on both

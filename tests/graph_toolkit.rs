@@ -3,18 +3,25 @@
 //! Theorem-5-guided chordal coalescing strategy — plus equivalence tests
 //! that pin the sorted-row graph kernels (smallest-last elimination,
 //! Briggs/George tests, Blair–Peyton cliques) to set-based specifications
-//! of their definitions.
+//! of their definitions, and the worklist IRC allocator to the plain
+//! scan formulation it replaces.
 
-use coalesce_core::affinity::{Affinity, AffinityGraph};
+use coalesce_core::affinity::{Affinity, AffinityGraph, Coalescing};
 use coalesce_core::chordal_strategy::{
     chordal_conservative_coalesce, result_is_k_colorable, ChordalMode,
 };
 use coalesce_core::conservative::{briggs_test, george_test};
+use coalesce_core::irc::{self, IrcResult};
+use coalesce_gen::module::{module_specs, ModuleParams};
 use coalesce_gen::{families, graphs};
 use coalesce_graph::format::{from_challenge, to_challenge, to_dimacs, ChallengeFile};
 use coalesce_graph::{
     chordal, cliques, coloring, fillin, format, greedy, interval, lexbfs, stats, Graph, VertexId,
 };
+use coalesce_ir::function::Var;
+use coalesce_ir::interference::InterferenceGraph;
+use coalesce_ir::liveness::Liveness;
+use coalesce_ir::spill;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -99,6 +106,202 @@ fn reference_george(g: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
     g.neighbors(a)
         .filter(|&n| n != b && g.degree(n) >= k)
         .all(|n| of_b.contains(&n))
+}
+
+/// The IRC allocator as a plain scan: every step looks for the first
+/// qualifying vertex or move from index 0, and "move related" walks all
+/// moves.  Cubic, but each choice is its definition; `irc::allocate` must
+/// make exactly the same choices.
+fn reference_irc(ag: &AffinityGraph, k: usize) -> IrcResult {
+    let mut coalescing = Coalescing::identity(&ag.graph);
+
+    // Move-related representative pairs (kept up to date lazily).
+    let moves: Vec<(VertexId, VertexId)> = ag.affinities.iter().map(|a| (a.a, a.b)).collect();
+
+    // The select stack of class representatives, plus whether they were
+    // pushed as potential spills.
+    let mut stack: Vec<(VertexId, bool)> = Vec::new();
+    // Representatives already removed from the working graph.
+    let mut removed: BTreeSet<VertexId> = BTreeSet::new();
+    // Frozen moves no longer considered for coalescing.
+    let mut frozen: BTreeSet<usize> = BTreeSet::new();
+
+    // Working copy of the merged graph; vertices are physically removed as
+    // they are simplified so that degrees reflect the residual graph.
+    let mut work = coalescing.merged_graph.clone();
+
+    let is_move_related = |moves: &[(VertexId, VertexId)],
+                           frozen: &BTreeSet<usize>,
+                           coalescing: &mut Coalescing,
+                           removed: &BTreeSet<VertexId>,
+                           v: VertexId| {
+        moves.iter().enumerate().any(|(i, &(a, b))| {
+            if frozen.contains(&i) {
+                return false;
+            }
+            let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
+            ra != rb && !removed.contains(&ra) && !removed.contains(&rb) && (ra == v || rb == v)
+        })
+    };
+
+    loop {
+        // --- simplify ---
+        let simplifiable = work.vertices().find(|&v| {
+            work.degree(v) < k && !is_move_related(&moves, &frozen, &mut coalescing, &removed, v)
+        });
+        if let Some(v) = simplifiable {
+            work.remove_vertex(v);
+            removed.insert(v);
+            stack.push((v, false));
+            continue;
+        }
+
+        // --- coalesce (Briggs, then George, both directions) ---
+        let mut coalesced_something = false;
+        for (i, &(a, b)) in moves.iter().enumerate() {
+            if frozen.contains(&i) {
+                continue;
+            }
+            let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
+            if ra == rb || removed.contains(&ra) || removed.contains(&rb) {
+                continue;
+            }
+            if work.has_edge(ra, rb) {
+                // Constrained move: never coalescible; freeze it.
+                frozen.insert(i);
+                continue;
+            }
+            let ok = briggs_test(&work, k, ra, rb)
+                || george_test(&work, k, ra, rb)
+                || george_test(&work, k, rb, ra);
+            if ok {
+                work.merge(ra, rb);
+                coalescing.merge(ra, rb);
+                coalesced_something = true;
+                break;
+            }
+        }
+        if coalesced_something {
+            continue;
+        }
+
+        // --- freeze ---
+        let freezable = work.vertices().find(|&v| {
+            work.degree(v) < k && is_move_related(&moves, &frozen, &mut coalescing, &removed, v)
+        });
+        if let Some(v) = freezable {
+            for (i, &(a, b)) in moves.iter().enumerate() {
+                let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
+                if ra == v || rb == v {
+                    frozen.insert(i);
+                }
+            }
+            continue;
+        }
+
+        // --- potential spill ---
+        let candidate = work.vertices().max_by_key(|&v| (work.degree(v), v.index()));
+        match candidate {
+            Some(v) => {
+                work.remove_vertex(v);
+                removed.insert(v);
+                stack.push((v, true));
+            }
+            None => break, // graph empty: done
+        }
+    }
+
+    // --- select ---
+    let full_graph = &coalescing.merged_graph;
+    let mut coloring = coloring::Coloring::new(full_graph.capacity());
+    let mut spilled_reps: Vec<VertexId> = Vec::new();
+    while let Some((v, _potential)) = stack.pop() {
+        let used: BTreeSet<usize> = full_graph
+            .neighbors(v)
+            .filter_map(|n| coloring.color_of(n))
+            .collect();
+        let color = (0..k).find(|c| !used.contains(c));
+        match color {
+            Some(c) => coloring.assign(v, c),
+            None => spilled_reps.push(v),
+        }
+    }
+
+    // Expand spilled representatives to original vertices.
+    let mut spilled: Vec<VertexId> = Vec::new();
+    for class in coalescing.classes() {
+        let rep = coalescing.class_of(*class.iter().next().expect("non-empty class"));
+        if spilled_reps.contains(&rep) {
+            for v in class {
+                if ag.graph.is_live(v) {
+                    spilled.push(v);
+                }
+            }
+        }
+    }
+    spilled.sort();
+    spilled.dedup();
+
+    let stats = coalescing.stats(&ag.affinities);
+    IrcResult {
+        coloring,
+        coalescing,
+        spilled,
+        stats,
+    }
+}
+
+/// Asserts that `irc::allocate` and [`reference_irc`] agree on every
+/// observable of the result: colors (through the classes and directly on
+/// the representatives), classes, spills and statistics.  Returns the
+/// spilled vertices.
+fn assert_irc_matches_reference(ag: &AffinityGraph, k: usize, what: &str) -> Vec<VertexId> {
+    let (got, want) = (irc::allocate(ag, k), reference_irc(ag, k));
+    for v in (0..ag.graph.capacity()).map(VertexId::new) {
+        assert_eq!(
+            got.color_of(v),
+            want.color_of(v),
+            "{what}, k = {k}: color of {v}"
+        );
+        assert_eq!(
+            got.coloring.color_of(v),
+            want.coloring.color_of(v),
+            "{what}, k = {k}: representative color of {v}"
+        );
+        assert_eq!(
+            got.coalescing.class_of_immutable(v),
+            want.coalescing.class_of_immutable(v),
+            "{what}, k = {k}: class of {v}"
+        );
+    }
+    assert_eq!(got.spilled, want.spilled, "{what}, k = {k}: spilled");
+    assert_eq!(got.stats, want.stats, "{what}, k = {k}: stats");
+    got.spilled
+}
+
+/// A random graph (partially merged, so retired identifiers sit between
+/// live ones) with random weighted moves between live vertices: repeated
+/// pairs give duplicate moves, and pairs whose classes come to interfere
+/// after a merge give constrained moves.
+fn graph_with_moves(max_n: usize) -> impl Strategy<Value = AffinityGraph> {
+    (
+        partially_merged_graph(max_n),
+        proptest::collection::vec((0..max_n, 0..max_n, 1u64..5), 0..3 * max_n),
+    )
+        .prop_map(|(g, picks)| {
+            let live: Vec<VertexId> = g.vertices().collect();
+            let mut affinities = Vec::new();
+            for (i, j, weight) in picks {
+                let (a, b) = (live[i % live.len()], live[j % live.len()]);
+                if a != b && !g.has_edge(a, b) {
+                    affinities.push(Affinity::weighted(a, b, weight));
+                    if weight == 1 {
+                        affinities.push(Affinity::weighted(b, a, 2));
+                    }
+                }
+            }
+            AffinityGraph::new(g, affinities)
+        })
 }
 
 proptest! {
@@ -260,6 +463,14 @@ proptest! {
     }
 
     #[test]
+    fn worklist_irc_makes_the_scan_allocators_choices(ag in graph_with_moves(14)) {
+        let n = ag.graph.capacity();
+        for k in (0..=6).chain([n + 1]) {
+            assert_irc_matches_reference(&ag, k, "random graph");
+        }
+    }
+
+    #[test]
     fn chordal_strategy_outputs_are_k_colorable_on_random_interval_graphs(
         seed in 0u64..500,
         n in 4usize..12,
@@ -304,4 +515,48 @@ fn named_families_expose_the_expected_structure_to_the_strategies() {
     assert_eq!(cliques::clique_number(&m4), 2);
     assert_eq!(coloring::chromatic_number(&m4), 4);
     assert!(!chordal::is_chordal(&m4));
+}
+
+/// Every Chaitin–Briggs round of a generated module, replayed as
+/// `chaitin_allocate` runs it (liveness, interference, IRC, spill
+/// everywhere, rebuild, at most eight rounds): the worklist allocator and
+/// the scan reference must agree on each round's graph.  Returns the
+/// number of rounds compared.
+fn compare_irc_on_chaitin_rounds(registers: impl Fn(usize) -> usize) -> usize {
+    let mut calls = 0;
+    for spec in &module_specs(&ModuleParams { functions: 30 }, 42) {
+        let mut function = spec.generate();
+        let k = registers(Liveness::compute(&function).maxlive_precise(&function));
+        for round in 1..=8 {
+            let liveness = Liveness::compute(&function);
+            let ig = InterferenceGraph::build(&function, &liveness);
+            let ag = AffinityGraph::from_interference(&ig);
+            let what = format!("function {} round {round}", spec.index);
+            let spilled = assert_irc_matches_reference(&ag, k, &what);
+            calls += 1;
+            if spilled.is_empty() || round == 8 {
+                break;
+            }
+            let mut spill_result = spill::SpillResult::default();
+            for v in spilled {
+                spill::spill_everywhere(&mut function, Var::new(v.index()), &mut spill_result);
+            }
+        }
+    }
+    calls
+}
+
+/// The module at the benchmark's register count, `max(Maxlive / 2, 3)`.
+#[test]
+fn worklist_irc_makes_the_scan_allocators_choices_on_chaitin_rounds() {
+    let calls = compare_irc_on_chaitin_rounds(|maxlive| (maxlive / 2).max(3));
+    assert!(calls >= 30, "only {calls} rounds compared");
+}
+
+/// The module at 3 registers: heavy spilling, most functions run all
+/// eight rounds.
+#[test]
+fn worklist_irc_makes_the_scan_allocators_choices_on_chaitin_rounds_at_k3() {
+    let calls = compare_irc_on_chaitin_rounds(|_| 3);
+    assert!(calls >= 30, "only {calls} rounds compared");
 }
